@@ -122,14 +122,14 @@ fn parse_fn(toks: &[Tok], i: usize) -> Option<FnItem> {
     if name_tok.kind != TokKind::Ident {
         return None; // `fn(usize) -> T` pointer type, not an item
     }
-    let name = name_tok.text.clone();
+    let name = name_tok.text.to_string();
     let mut j = i + 2;
 
     // Skip generic parameters `<…>`, tracking shift-operator tokens.
     if toks.get(j).map(|t| t.is_punct("<")).unwrap_or(false) {
         let mut depth = 0i32;
         while j < toks.len() {
-            match toks[j].text.as_str() {
+            match &*toks[j].text {
                 "<" if toks[j].kind == TokKind::Punct => depth += 1,
                 "<<" if toks[j].kind == TokKind::Punct => depth += 2,
                 ">" if toks[j].kind == TokKind::Punct => depth -= 1,
@@ -176,7 +176,7 @@ fn parse_fn(toks: &[Tok], i: usize) -> Option<FnItem> {
             } else if t.is_punct(")") || t.is_punct("]") {
                 pdepth -= 1;
             }
-            ret.push(t.text.clone());
+            ret.push(t.text.to_string());
             j += 1;
         }
     }
@@ -275,7 +275,7 @@ fn expand_use_tree(toks: &[Tok], line: usize, prefix: &mut Vec<String>, out: &mu
         if t.is_ident("as") {
             k += 2; // alias name does not change what is imported
         } else if t.kind == TokKind::Ident {
-            prefix.push(t.text.clone());
+            prefix.push(t.text.to_string());
             k += 1;
         } else if t.is_punct("*") {
             prefix.push("*".to_string());
