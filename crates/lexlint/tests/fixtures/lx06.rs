@@ -20,6 +20,10 @@ pub fn good_int_compare(n: usize) -> bool {
     n == 3
 }
 
+pub fn good_nested_tuple_index(p: ((u8, u8), u8), q: u8) -> bool {
+    p.0.1 == q
+}
+
 pub fn suppressed(x: f64) -> bool {
     // lexlint: allow(LX06): exact-zero divisor guard
     x != 0.0
