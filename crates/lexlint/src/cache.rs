@@ -26,7 +26,7 @@ use std::path::Path;
 
 /// Bump when any rule's detection logic changes, so stale verdicts are
 /// discarded wholesale rather than trusted.
-pub const RULES_VERSION: u64 = 3;
+pub const RULES_VERSION: u64 = 4;
 
 const SCHEMA: &str = "lexlint-cache/1";
 
