@@ -39,7 +39,7 @@ pub fn apply(root: &Path, findings: &[Finding]) -> Result<FixOutcome, String> {
             std::fs::read_to_string(&abs).map_err(|e| format!("reading {}: {e}", abs.display()))?;
         // Preserve the original line terminators by splitting inclusively.
         let mut lines: Vec<String> = split_keep_newlines(&src);
-        edits.sort_by(|a, b| b.line.cmp(&a.line));
+        edits.sort_by_key(|e| std::cmp::Reverse(e.line));
         for f in edits {
             let Some(s) = &f.suggestion else { continue };
             match lines.get_mut(f.line.saturating_sub(1)) {

@@ -425,7 +425,7 @@ mod tests {
         assert_eq!(at(1), 20.0);
         assert_eq!(at(2), 40.0);
         let jittered = retry::backoff_ms(10.0, 5.0, 1, 1, 1, 0);
-        assert!(jittered >= 10.0 && jittered < 15.0);
+        assert!((10.0..15.0).contains(&jittered));
     }
 
     #[test]

@@ -188,7 +188,7 @@ impl Inflight {
             .iter()
             .filter_map(|(&cell, started)| {
                 let elapsed = started.elapsed();
-                (elapsed > budget).then(|| (cell, elapsed.as_millis() as u64))
+                (elapsed > budget).then_some((cell, elapsed.as_millis() as u64))
             })
             .collect()
     }
@@ -376,8 +376,8 @@ where
             scope.spawn(move || {
                 watchdog_loop(
                     Duration::from_millis(budget_ms),
-                    &inflight,
-                    &done,
+                    inflight,
+                    done,
                     |cell, elapsed_ms| {
                         events(CellEvent::LongRunning {
                             cell,
@@ -459,8 +459,8 @@ mod tests {
             let mut start = 0;
             while start < n {
                 let end = (start + c).min(n);
-                for i in start..end {
-                    seen[i] += 1;
+                for s in &mut seen[start..end] {
+                    *s += 1;
                 }
                 start = end;
             }
