@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # One-command local gate: formatting, clippy, the lexlint static
-# analysis pass, and the full test suite. Run from anywhere.
+# analysis pass, the full test suite and the benchmark package's
+# tests. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,6 +16,12 @@ echo "==> lexlint"
 # the incremental cache (.lexlint-cache.json, git-ignored) makes repeat
 # runs re-analyze only changed files.
 cargo run -q -p lexlint -- check --fix-check
+
+# The benchmark package is a workspace of its own that builds
+# crates/runner, crates/lexlint and crates/resilience from source; its
+# tests catch a change to their public API before a benchmark run does.
+echo "==> lexcache-bench tests"
+cargo test -q --release --offline --locked --manifest-path lexcache-bench/Cargo.toml
 
 echo "==> cargo test"
 cargo test -q --workspace --locked --offline
