@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # One-command local gate: formatting, clippy, the lexlint static
-# analysis pass, the full test suite and the benchmark package's
-# tests. Run from anywhere.
+# analysis pass, the full test suite, the benchmark package's tests
+# and a one-second resume run of the benchmark. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,6 +22,12 @@ cargo run -q -p lexlint -- check --fix-check
 # tests catch a change to their public API before a benchmark run does.
 echo "==> lexcache-bench tests"
 cargo test -q --release --offline --locked --manifest-path lexcache-bench/Cargo.toml
+
+# End-to-end check of the journal and JSON read path: the benchmark
+# exits 1 when any resumed grid differs from the uninterrupted sweep.
+echo "==> resume smoke (lexcache-bench --workload resume)"
+cargo run -q --release --offline --locked --manifest-path lexcache-bench/Cargo.toml -- \
+    --workload resume --seed 1 --seconds 1 --trace 0
 
 echo "==> cargo test"
 cargo test -q --workspace --locked --offline
